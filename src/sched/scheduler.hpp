@@ -125,7 +125,10 @@ class QueryScheduler {
   [[nodiscard]] std::optional<QueryState> stateOf(NodeId n) const;
 
   /// Clone of a node's predicate, taken under the scheduler lock (safe
-  /// against concurrent graph mutation).
+  /// against concurrent graph mutation); nullptr if the node is no longer
+  /// in the graph (failed, retired, or never submitted), the same
+  /// convention as stateOf(). A snapshot from executingSources() may name
+  /// a node that has left the graph since, so callers must check.
   [[nodiscard]] query::PredicatePtr predicateOf(NodeId n) const;
 
   /// Current policy rank of a waiting node (test/diagnostic hook).

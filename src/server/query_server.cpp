@@ -618,6 +618,7 @@ void QueryServer::runQuery(sched::NodeId node, PendingQuery pq) {
   trace::Tracer::QueryScope queryScope(tracer_, node);
 
   const query::PredicatePtr predPtr = scheduler_.predicateOf(node);
+  MQS_CHECK_MSG(predPtr != nullptr, "dequeued node left the scheduling graph");
   const query::Predicate& pred = *predPtr;
 
   // Application code (executors, user-defined operators, the storage

@@ -476,6 +476,7 @@ std::optional<datastore::BlobId> SimServer::insertWithCost(
 
 Task<void> SimServer::queryTask(sched::NodeId node, metrics::QueryRecord rec) {
   const query::PredicatePtr predPtr = scheduler_.predicateOf(node);
+  MQS_CHECK_MSG(predPtr != nullptr, "dequeued node left the scheduling graph");
   const query::Predicate& pred = *predPtr;
 
   // The PLAN span covers the modeled planning overhead plus the real

@@ -107,6 +107,37 @@ TEST_F(SchedulerTest, IllegalTransitionsThrow) {
   EXPECT_THROW(s.completed(n), CheckFailure);   // already cached
 }
 
+TEST_F(SchedulerTest, PredicateOfIsNullOnceNodeLeavesGraph) {
+  auto s = make("FIFO");
+  const Rect region = Rect::ofSize(0, 0, 1024, 1024);
+  const NodeId older = s.submit(pred(region, 2));
+  const NodeId dependent = s.submit(pred(region, 4));
+  ASSERT_EQ(s.dequeue(), older);
+  ASSERT_EQ(s.dequeue(), dependent);
+
+  // A live node yields an independent clone of its predicate.
+  const auto live = s.predicateOf(older);
+  ASSERT_NE(live, nullptr);
+  EXPECT_EQ(vm::asVM(*live), VMPredicate(0, region, 2, VMOp::Subsample));
+
+  // The planner's race: a source snapshotted by executingSources() fails
+  // before its predicate is read. The read reports it gone, not a throw.
+  const auto sources = s.executingSources(dependent);
+  ASSERT_EQ(sources.size(), 1u);
+  ASSERT_EQ(sources.front().node, older);
+  s.failed(older);
+  EXPECT_EQ(s.predicateOf(sources.front().node), nullptr);
+
+  // Likewise after the terminal drop of a cached node ...
+  s.completed(dependent);
+  ASSERT_NE(s.predicateOf(dependent), nullptr);
+  s.retired(dependent);
+  EXPECT_EQ(s.predicateOf(dependent), nullptr);
+  // ... and for an id that was never submitted.
+  EXPECT_EQ(s.predicateOf(dependent + 100), nullptr);
+  EXPECT_EQ(s.predicateOf(kInvalidNode), nullptr);
+}
+
 TEST_F(SchedulerTest, CfPrefersQueryClosestToCachedResults) {
   auto s = make("CF");
   // hi-res result over region X, then two waiting queries: one over X

@@ -244,15 +244,19 @@ TEST_F(QueryServerTest, RecordsCaptureTiming) {
   EXPECT_EQ(r.record.inputBytes, sem_.qinputsize(q));
 }
 
-/// Failure injection: an executor that throws for marked regions.
+/// Failure injection: an executor that throws for exactly one region — the
+/// failing query's own (DESIGN.md §6: the query is the unit of failure).
+/// Sub-regions of it, such as the overlap a dependent recomputes after its
+/// source failed, execute normally.
 class FailingExecutor final : public query::QueryExecutor {
  public:
-  explicit FailingExecutor(const vm::VMExecutor* inner) : inner_(inner) {}
+  FailingExecutor(const vm::VMExecutor* inner, const Rect& poison)
+      : inner_(inner), poison_(poison) {}
 
   [[nodiscard]] std::vector<std::byte> execute(
       const query::Predicate& pred,
       pagespace::PageSpaceManager& ps) const override {
-    if (vm::asVM(pred).region().x0 == kPoisonX) {
+    if (vm::asVM(pred).region() == poison_) {
       throw std::runtime_error("injected executor failure");
     }
     return inner_->execute(pred, ps);
@@ -264,19 +268,18 @@ class FailingExecutor final : public query::QueryExecutor {
     inner_->project(cached, payload, out, buffer);
   }
 
-  static constexpr std::int64_t kPoisonX = 736;  // marker origin
-
  private:
   const vm::VMExecutor* inner_;
+  Rect poison_;
 };
 
 TEST_F(QueryServerTest, ExecutorFailureDeliveredViaFuture) {
-  FailingExecutor failing(&exec_);
+  const Rect poisoned = Rect::ofSize(736, 0, 128, 128);
+  FailingExecutor failing(&exec_, poisoned);
   server::QueryServer server(&sem_, &failing, config(2));
   server.attach(dsid_, &slide_);
 
-  auto bad = server.submit(
-      pred(Rect::ofSize(FailingExecutor::kPoisonX, 0, 128, 128), 2), 0);
+  auto bad = server.submit(pred(poisoned, 2), 0);
   EXPECT_THROW((void)bad.get(), std::runtime_error);
 
   // The server keeps working and the graph is consistent.
@@ -288,25 +291,24 @@ TEST_F(QueryServerTest, ExecutorFailureDeliveredViaFuture) {
 }
 
 TEST_F(QueryServerTest, FailureDoesNotPoisonDependents) {
-  FailingExecutor failing(&exec_);
+  const Rect poisoned = Rect::ofSize(736, 0, 256, 256);
+  FailingExecutor failing(&exec_, poisoned);
   auto cfg = config(2);
   server::QueryServer server(&sem_, &failing, cfg);
   server.attach(dsid_, &slide_);
 
-  // Both queries overlap; the second may elect to wait on the first, which
-  // fails. The second must recover by computing from raw data.
-  const VMPredicate poison(dsid_,
-                           Rect::ofSize(FailingExecutor::kPoisonX, 0, 256, 256),
-                           2, VMOp::Subsample);
-  const VMPredicate dependent(
-      dsid_, Rect::ofSize(FailingExecutor::kPoisonX - 128, 0, 256, 256), 2,
-      VMOp::Subsample);
+  // Both queries overlap on [736, 864); the second may elect to wait on
+  // the first or fold into its scan, and the first fails.
+  const VMPredicate poison(dsid_, poisoned, 2, VMOp::Subsample);
+  const VMPredicate dependent(dsid_, Rect::ofSize(736 - 128, 0, 256, 256), 2,
+                              VMOp::Subsample);
   auto f1 = server.submit(poison.clone(), 0);
   auto f2 = server.submit(dependent.clone(), 1);
   EXPECT_THROW((void)f1.get(), std::runtime_error);
-  // Remainder parts of `dependent` don't start at the poison origin, so it
-  // succeeds... unless it computed whole from raw at the poison-free
-  // origin. Either way it must produce correct bytes.
+  // Only the poisoned query's own request fails. The dependent's region is
+  // healthy, so it must succeed with correct bytes on every path: computed
+  // whole from raw data, waiting on the failed source (recomputing the
+  // overlap itself), or folding into the failed scan (likewise).
   expectCorrect(dependent, f2.get());
 }
 
