@@ -8,16 +8,20 @@
 //
 // Every data point performs a fixed total number of hot-hit operations
 // (`--ops`, split evenly over the threads, so each point costs the same
-// work) and reports the best of `--trials` runs: PS = read-through fetch()
+// work) and reports the best of `--trials` runs, with the median, min and
+// max over the trials in a second table: PS = read-through fetch()
 // of already-resident pages, DS = noteReuse() recency touches of resident
 // blobs. Both are pure lock-protected fast paths — no I/O, no eviction —
-// so the sweep isolates lock acquisition cost. The second table reports
+// so the sweep isolates lock acquisition cost. Each thread sums what it
+// reads locally and publishes once after its loop, so no shared counter
+// sits inside the timed loop. The third table reports
 // the contended-acquisition counts from mqs::lockstats (the same counters
 // the server emits as LOCK_WAIT_* trace events).
 //
 // --smoke runs only the 8-thread PS point (sharded vs single lock) and
 // exits nonzero if sharding falls behind the single lock beyond noise;
 // the CI matrices run it as a guardrail test.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -43,6 +47,29 @@ struct RunResult {
   std::uint64_t contended = 0;  ///< blocked lock acquisitions during the run
 };
 
+/// One data point over its trials: the best run (with its contention
+/// count) plus the spread of throughput across all runs.
+struct TrialStats {
+  RunResult best;
+  double median = 0.0;  ///< ops/s
+  double min = 0.0;
+  double max = 0.0;
+};
+
+TrialStats summarize(std::vector<RunResult> runs) {
+  std::sort(runs.begin(), runs.end(), [](const auto& a, const auto& b) {
+    return a.opsPerSec < b.opsPerSec;
+  });
+  const std::size_t n = runs.size();
+  TrialStats s;
+  s.best = runs.back();
+  s.median = n % 2 == 1 ? runs[n / 2].opsPerSec
+                        : (runs[n / 2 - 1].opsPerSec + runs[n / 2].opsPerSec) / 2;
+  s.min = runs.front().opsPerSec;
+  s.max = runs.back().opsPerSec;
+  return s;
+}
+
 std::uint64_t contendedSum(lockorder::Rank shardRank, lockorder::Rank bigRank) {
   return lockstats::countsFor(shardRank).contended +
          lockstats::countsFor(bigRank).contended;
@@ -50,10 +77,13 @@ std::uint64_t contendedSum(lockorder::Rank shardRank, lockorder::Rank bigRank) {
 
 /// Run `totalOps` calls of op(threadIndex, i) split over `threads` threads,
 /// all released together off a spin barrier; returns hot-op throughput and
-/// the contended-acquisition delta on the subsystem's two lock ranks.
+/// the contended-acquisition delta on the subsystem's two lock ranks. Each
+/// thread sums op's results locally and adds the sum to `sink` once, after
+/// its timed loop, so the result is used without a shared write per op.
 template <typename Op>
 RunResult hammer(int threads, std::uint64_t totalOps,
-                 lockorder::Rank shardRank, lockorder::Rank bigRank, Op op) {
+                 lockorder::Rank shardRank, lockorder::Rank bigRank,
+                 std::atomic<std::uint64_t>& sink, Op op) {
   const std::uint64_t per =
       std::max<std::uint64_t>(1, totalOps / static_cast<std::uint64_t>(threads));
   std::atomic<int> ready{0};
@@ -65,7 +95,9 @@ RunResult hammer(int threads, std::uint64_t totalOps,
     pool.emplace_back([&, t] {
       ready.fetch_add(1, std::memory_order_relaxed);
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-      for (std::uint64_t i = 0; i < per; ++i) op(t, i);
+      std::uint64_t local = 0;
+      for (std::uint64_t i = 0; i < per; ++i) local += op(t, i);
+      sink.fetch_add(local, std::memory_order_relaxed);
     });
   }
   while (ready.load(std::memory_order_relaxed) < threads) {
@@ -92,11 +124,11 @@ std::uint64_t mix(std::uint64_t t, std::uint64_t i) {
 
 /// Page Space hot hits: fetch() of pages that are all resident (capacity
 /// far above the working set, prewarmed before the clock starts).
-RunResult runPs(int threads, int shards, std::uint64_t totalOps, int pages,
-                int trials) {
+TrialStats runPs(int threads, int shards, std::uint64_t totalOps, int pages,
+                 int trials) {
   const index::ChunkLayout layout(64 * pages, 64, 64);
   const storage::SyntheticSlideSource slide(layout, /*seed=*/7);
-  RunResult best;
+  std::vector<RunResult> runs;
   for (int trial = 0; trial < trials; ++trial) {
     pagespace::PageSpaceManager ps(1ULL << 30, /*ioThreads=*/0,
                                    pagespace::RetryPolicy{}, shards);
@@ -106,25 +138,24 @@ RunResult runPs(int threads, int shards, std::uint64_t totalOps, int pages,
     }
     std::atomic<std::uint64_t> sink{0};
     const std::uint64_t nPages = layout.chunkCount();
-    RunResult r = hammer(
-        threads, totalOps, lockorder::Rank::kPageSpaceShard,
-        lockorder::Rank::kPageSpace, [&](std::uint64_t t, std::uint64_t i) {
-          const storage::PageKey key{0, mix(t, i) % nPages};
-          sink.fetch_add(ps.fetch(key)->size(), std::memory_order_relaxed);
-        });
-    if (r.opsPerSec > best.opsPerSec) best = r;
+    runs.push_back(hammer(threads, totalOps, lockorder::Rank::kPageSpaceShard,
+                          lockorder::Rank::kPageSpace, sink,
+                          [&](std::uint64_t t, std::uint64_t i) {
+                            const storage::PageKey key{0, mix(t, i) % nPages};
+                            return ps.fetch(key)->size();
+                          }));
   }
-  return best;
+  return summarize(std::move(runs));
 }
 
 /// Data Store hot hits: noteReuse() recency touches of resident blobs
 /// (ids hash across shards; no lookup scan, no eviction).
-RunResult runDs(int threads, int shards, std::uint64_t totalOps, int blobs,
-                int trials) {
+TrialStats runDs(int threads, int shards, std::uint64_t totalOps, int blobs,
+                 int trials) {
   vm::VMSemantics sem;
   const storage::DatasetId dataset =
       sem.addDataset(index::ChunkLayout(8192, 8192, 64));
-  RunResult best;
+  std::vector<RunResult> runs;
   for (int trial = 0; trial < trials; ++trial) {
     datastore::DataStore ds(1ULL << 30, &sem, datastore::EvictionPolicy::Lru,
                             shards);
@@ -137,17 +168,19 @@ RunResult runDs(int threads, int shards, std::uint64_t totalOps, int blobs,
       const auto id = ds.insert(std::move(pred), {}, bytes);
       if (id.has_value()) ids.push_back(*id);
     }
-    RunResult r = hammer(
-        threads, totalOps, lockorder::Rank::kDataStoreShard,
-        lockorder::Rank::kDataStore, [&](std::uint64_t t, std::uint64_t i) {
-          ds.noteReuse(ids[mix(t, i) % ids.size()], 1.0);
-        });
-    if (r.opsPerSec > best.opsPerSec) best = r;
+    std::atomic<std::uint64_t> sink{0};
+    runs.push_back(hammer(threads, totalOps, lockorder::Rank::kDataStoreShard,
+                          lockorder::Rank::kDataStore, sink,
+                          [&](std::uint64_t t, std::uint64_t i) {
+                            ds.noteReuse(ids[mix(t, i) % ids.size()], 1.0);
+                            return std::uint64_t{0};
+                          }));
   }
-  return best;
+  return summarize(std::move(runs));
 }
 
 double mops(const RunResult& r) { return r.opsPerSec / 1e6; }
+double mops(double opsPerSec) { return opsPerSec / 1e6; }
 
 }  // namespace
 
@@ -157,7 +190,7 @@ int main(int argc, char** argv) {
   const int shards = static_cast<int>(opts.getInt("shards", 16));
   const std::uint64_t ops =
       static_cast<std::uint64_t>(opts.getInt("ops", 200000));
-  const int trials = static_cast<int>(opts.getInt("trials", 3));
+  const int trials = std::max(1, static_cast<int>(opts.getInt("trials", 3)));
   const int pages = static_cast<int>(opts.getInt("pages", 256));
   const int blobs = static_cast<int>(opts.getInt("blobs", 256));
 
@@ -166,8 +199,8 @@ int main(int argc, char** argv) {
     // box the sharded path must simply not be slower than the single lock
     // beyond noise (best of `trials`, 15% margin).
     const int threads = static_cast<int>(opts.getInt("smoke-threads", 8));
-    const RunResult single = runPs(threads, 1, ops, pages, trials);
-    const RunResult sharded = runPs(threads, shards, ops, pages, trials);
+    const RunResult single = runPs(threads, 1, ops, pages, trials).best;
+    const RunResult sharded = runPs(threads, shards, ops, pages, trials).best;
     const double ratio = sharded.opsPerSec / single.opsPerSec;
     std::cout << "# smoke: ps hot-hit @" << threads << " threads: single "
               << formatDouble(mops(single), 3) << " Mops/s (contended "
@@ -194,15 +227,33 @@ int main(int argc, char** argv) {
   Table tput("hot_hit_mops");
   tput.setColumns({"threads", "ps_single", "ps_sharded", "ps_speedup",
                    "ds_single", "ds_sharded", "ds_speedup"});
+  // Median [min, max] over the trials for each best figure above: a wide
+  // spread means the best alone is not a trustworthy point.
+  Table spread("hot_hit_mops_spread");
+  spread.setColumns({"threads", "ps_single_med", "ps_single_min",
+                     "ps_single_max", "ps_sharded_med", "ps_sharded_min",
+                     "ps_sharded_max", "ds_single_med", "ds_single_min",
+                     "ds_single_max", "ds_sharded_med", "ds_sharded_min",
+                     "ds_sharded_max"});
   Table cont("contended_acquisitions");
   cont.setColumns({"threads", "ps_single", "ps_sharded", "ds_single",
                    "ds_sharded"});
   for (std::int64_t t : threadList) {
     const int threads = static_cast<int>(t);
-    const RunResult ps1 = runPs(threads, 1, ops, pages, trials);
-    const RunResult psN = runPs(threads, shards, ops, pages, trials);
-    const RunResult ds1 = runDs(threads, 1, ops, blobs, trials);
-    const RunResult dsN = runDs(threads, shards, ops, blobs, trials);
+    const TrialStats ps1s = runPs(threads, 1, ops, pages, trials);
+    const TrialStats psNs = runPs(threads, shards, ops, pages, trials);
+    const TrialStats ds1s = runDs(threads, 1, ops, blobs, trials);
+    const TrialStats dsNs = runDs(threads, shards, ops, blobs, trials);
+    const RunResult& ps1 = ps1s.best;
+    const RunResult& psN = psNs.best;
+    const RunResult& ds1 = ds1s.best;
+    const RunResult& dsN = dsNs.best;
+    std::vector<double> spreadRow;
+    for (const TrialStats* st : {&ps1s, &psNs, &ds1s, &dsNs}) {
+      spreadRow.insert(spreadRow.end(),
+                       {mops(st->median), mops(st->min), mops(st->max)});
+    }
+    spread.addRow(std::to_string(threads), spreadRow);
     tput.addRow(std::to_string(threads),
                 {mops(ps1), mops(psN), psN.opsPerSec / ps1.opsPerSec,
                  mops(ds1), mops(dsN), dsN.opsPerSec / ds1.opsPerSec});
@@ -214,6 +265,7 @@ int main(int argc, char** argv) {
                 /*precision=*/0);
   }
   ctx.emit(tput);
+  ctx.emit(spread);
   ctx.emit(cont);
   return 0;
 }

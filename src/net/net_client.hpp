@@ -83,6 +83,10 @@ class NetClient {
   void close();
 
  private:
+  /// Throw TimeoutError or std::runtime_error for a failed receive,
+  /// according to the errno the failing recv() left.
+  [[noreturn]] void throwReceiveFailure() const;
+
   int fd_ = -1;
   std::uint64_t nextId_ = 1;
   const CodecRegistry* codecs_;

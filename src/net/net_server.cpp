@@ -126,8 +126,14 @@ void NetServer::serveConnection(int fd, int client) {
 
   c->writer = std::jthread([c] {
     while (auto item = c->pending.pop()) {
-      Writer w;
-      w.u64(item->first);
+      const std::uint64_t id = item->first;
+      // Every frame but Result: u64 requestId | body, built in a Writer.
+      const auto reply = [&](FrameType type, auto&& body) {
+        Writer w;
+        w.u64(id);
+        body(w);
+        return writeAll(c->fd, packFrame(type, w.bytes()));
+      };
       // share() keeps the result state — and any exception stored in it —
       // referenced for the whole iteration. future::get() releases the
       // state *before* a catch handler runs, so the worker's promise
@@ -136,37 +142,34 @@ void NetServer::serveConnection(int fd, int client) {
       // exception refcount, which TSan cannot observe. Holding the state
       // until after the handlers orders the teardown visibly.
       std::shared_future<server::QueryResult> settled = item->second.share();
+      bool sent = false;
       try {
-        const server::QueryResult& result = settled.get();
-        w.blob(result.bytes);
-        if (!writeAll(c->fd, packFrame(FrameType::Result, w.bytes()))) break;
+        // The result goes out scatter-gather, straight from its buffer.
+        sent = writeResultFrame(c->fd, id, settled.get().bytes);
       } catch (const server::QueryRejected& e) {
         // Turned away at admission (queue full / over quota): the overload
         // frame, so clients can back off instead of treating this as a
         // query bug.
-        w.u8(static_cast<std::uint8_t>(e.reason()));
-        w.str(e.what());
-        if (!writeAll(c->fd, packFrame(FrameType::Rejected, w.bytes()))) {
-          break;
-        }
+        sent = reply(FrameType::Rejected, [&](Writer& w) {
+          w.u8(static_cast<std::uint8_t>(e.reason()));
+          w.str(e.what());
+        });
       } catch (const server::QueryShed& e) {
         // Admitted but dropped at dispatch (deadline shed); same overload
         // frame with the DeadlineShed discriminator.
-        w.u8(static_cast<std::uint8_t>(server::RejectReason::DeadlineShed));
-        w.str(e.what());
-        if (!writeAll(c->fd, packFrame(FrameType::Rejected, w.bytes()))) {
-          break;
-        }
+        sent = reply(FrameType::Rejected, [&](Writer& w) {
+          w.u8(static_cast<std::uint8_t>(server::RejectReason::DeadlineShed));
+          w.str(e.what());
+        });
       } catch (const server::QueryFailure& e) {
         // The query reached the terminal FAILED status; tell the client
         // which request died so it can distinguish this from a rejected
         // (malformed) request.
-        w.str(e.what());
-        if (!writeAll(c->fd, packFrame(FrameType::Failed, w.bytes()))) break;
+        sent = reply(FrameType::Failed, [&](Writer& w) { w.str(e.what()); });
       } catch (const std::exception& e) {
-        w.str(e.what());
-        if (!writeAll(c->fd, packFrame(FrameType::Error, w.bytes()))) break;
+        sent = reply(FrameType::Error, [&](Writer& w) { w.str(e.what()); });
       }
+      if (!sent) break;
     }
     ::shutdown(c->fd, SHUT_WR);
   });

@@ -21,12 +21,15 @@ class QuerySemantics {
  public:
   virtual ~QuerySemantics() = default;
 
-  /// Eq. 1 — true iff a result for `a` completely answers `b` as-is
-  /// (common-subexpression elimination). Default: overlap == 1 and the
-  /// result needs no transformation is application-specific, so the default
-  /// simply tests overlap(a, b) >= 1.
-  [[nodiscard]] virtual bool cmp(const Predicate& a, const Predicate& b) const {
-    return overlap(a, b) >= 1.0;
+  /// Eq. 1 — true iff the result of `a` is, byte for byte, the result of
+  /// `b` (common-subexpression elimination). The threaded server then
+  /// serves `b` from a cached result of `a` with one copy of its payload
+  /// instead of projecting into a zeroed buffer. overlap(a, b) == 1 does not
+  /// imply it (a larger cached region covers `b` but must be cropped), so
+  /// the default claims nothing and every reuse goes through project().
+  [[nodiscard]] virtual bool cmp(const Predicate& /*a*/,
+                                 const Predicate& /*b*/) const {
+    return false;
   }
 
   /// Eq. 2 — fraction in [0, 1] of query `q` answerable by projecting the

@@ -205,6 +205,9 @@ class QueryServer {
   }
   [[nodiscard]] pagespace::PageSpaceManager& pageSpace() { return ps_; }
   [[nodiscard]] const ServerConfig& config() const { return cfg_; }
+  /// Completion latches held: one per query submitted and not yet
+  /// delivered, so 0 once the server has drained.
+  [[nodiscard]] std::size_t completionLatches() EXCLUDES(mu_);
 
   /// Seconds since server start (the experiment clock).
   [[nodiscard]] double nowSeconds() const;

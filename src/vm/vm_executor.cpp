@@ -165,42 +165,64 @@ void VMExecutor::project(const query::Predicate& cachedP,
 
   const auto is = static_cast<std::int64_t>(c.zoom());
   const auto os = static_cast<std::int64_t>(q.zoom());
-  const std::int64_t ratio = os / is;
-  const std::int64_t cw = c.outWidth();
-  const std::int64_t outW = q.outWidth();
+  // projectable() guarantees O_S % I_S == 0 and origins congruent mod I_S,
+  // so output pixel px + 1 starts exactly `ratio` cached pixels after px.
+  const auto ratio = static_cast<std::size_t>(os / is);
+  const auto cachedRow = static_cast<std::size_t>(c.outWidth()) * 3;
+  const auto outRow = static_cast<std::size_t>(q.outWidth()) * 3;
 
   const std::int64_t px0 = (covered.x0 - q.region().x0) / os;
   const std::int64_t px1 = (covered.x1 - q.region().x0) / os;
   const std::int64_t py0 = (covered.y0 - q.region().y0) / os;
   const std::int64_t py1 = (covered.y1 - q.region().y0) / os;
+  const auto width = static_cast<std::size_t>(px1 - px0);
+  // Cached pixel under the covered region's top-left output pixel.
+  const auto cx0 = static_cast<std::size_t>((covered.x0 - c.region().x0) / is);
+  const auto cy0 = static_cast<std::size_t>((covered.y0 - c.region().y0) / is);
 
-  const auto rsq = static_cast<std::uint32_t>(ratio * ratio);
-  const std::uint32_t half = rsq / 2;
+  const std::byte* src = cachedPayload.data() + cy0 * cachedRow + cx0 * 3;
+  std::byte* dst = outBuffer.data() + static_cast<std::size_t>(py0) * outRow +
+                   static_cast<std::size_t>(px0) * 3;
+  const std::size_t srcStep = ratio * cachedRow;  // one output row down
 
-  for (std::int64_t py = py0; py < py1; ++py) {
-    const std::int64_t y = q.region().y0 + py * os;
-    const std::int64_t cy0 = (y - c.region().y0) / is;
-    for (std::int64_t px = px0; px < px1; ++px) {
-      const std::int64_t x = q.region().x0 + px * os;
-      const std::int64_t cx0 = (x - c.region().x0) / is;
-      std::byte* o = outBuffer.data() + (py * outW + px) * 3;
-      if (q.op() == VMOp::Subsample || ratio == 1) {
-        // The query's sample position coincides with cached pixel
-        // (cx0, cy0); at equal zoom this is a straight copy for both ops.
-        const std::byte* in = cachedPayload.data() + (cy0 * cw + cx0) * 3;
+  if (ratio == 1) {
+    // Equal zoom: the query's pixels are the cached pixels, for both ops.
+    for (std::int64_t py = py0; py < py1; ++py, src += srcStep, dst += outRow) {
+      std::memcpy(dst, src, width * 3);
+    }
+  } else if (q.op() == VMOp::Subsample) {
+    // The query's sample position coincides with every ratio-th cached
+    // pixel of every ratio-th cached row.
+    const std::size_t pitch = ratio * 3;
+    for (std::int64_t py = py0; py < py1; ++py, src += srcStep, dst += outRow) {
+      const std::byte* in = src;
+      std::byte* o = dst;
+      for (std::size_t px = 0; px < width; ++px, in += pitch, o += 3) {
         o[0] = in[0];
         o[1] = in[1];
         o[2] = in[2];
-      } else {
-        // Averaging: the O_S window is exactly ratio x ratio cached pixels.
+      }
+    }
+  } else {
+    // Averaging: the O_S window is exactly ratio x ratio cached pixels.
+    const auto rsq = static_cast<std::uint32_t>(ratio * ratio);
+    const std::uint32_t half = rsq / 2;
+    const std::size_t span = ratio * 3;
+    std::vector<const std::byte*> rows(ratio);
+    for (std::int64_t py = py0; py < py1; ++py, src += srcStep, dst += outRow) {
+      for (std::size_t dy = 0; dy < ratio; ++dy) {
+        rows[dy] = src + dy * cachedRow;
+      }
+      std::byte* o = dst;
+      for (std::size_t px = 0; px < width; ++px, o += 3) {
+        const std::size_t off = px * span;
         std::uint32_t s0 = 0, s1 = 0, s2 = 0;
-        for (std::int64_t dy = 0; dy < ratio; ++dy) {
-          const std::byte* row =
-              cachedPayload.data() + ((cy0 + dy) * cw + cx0) * 3;
-          for (std::int64_t dx = 0; dx < ratio; ++dx) {
-            s0 += static_cast<std::uint32_t>(row[dx * 3 + 0]);
-            s1 += static_cast<std::uint32_t>(row[dx * 3 + 1]);
-            s2 += static_cast<std::uint32_t>(row[dx * 3 + 2]);
+        for (const std::byte* row : rows) {
+          const std::byte* in = row + off;
+          for (std::size_t k = 0; k < span; k += 3) {
+            s0 += static_cast<std::uint32_t>(in[k + 0]);
+            s1 += static_cast<std::uint32_t>(in[k + 1]);
+            s2 += static_cast<std::uint32_t>(in[k + 2]);
           }
         }
         o[0] = static_cast<std::byte>((s0 + half) / rsq);

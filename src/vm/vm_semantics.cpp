@@ -54,6 +54,11 @@ Rect VMSemantics::coveredRegion(const query::Predicate& cachedP,
   return covered;
 }
 
+bool VMSemantics::cmp(const query::Predicate& a,
+                      const query::Predicate& b) const {
+  return a.kind() == "vm" && b.kind() == "vm" && asVM(a) == asVM(b);
+}
+
 double VMSemantics::overlap(const query::Predicate& cachedP,
                             const query::Predicate& qP) const {
   if (cachedP.kind() != "vm" || qP.kind() != "vm") return 0.0;

@@ -31,6 +31,10 @@ class VMSemantics final : public query::QuerySemantics {
       storage::DatasetId dataset) const;
   [[nodiscard]] std::size_t datasetCount() const { return layouts_.size(); }
 
+  /// Identical predicates: a VM result is a pure function of (dataset,
+  /// region, zoom, op).
+  [[nodiscard]] bool cmp(const query::Predicate& a,
+                         const query::Predicate& b) const override;
   [[nodiscard]] double overlap(const query::Predicate& cached,
                                const query::Predicate& q) const override;
   [[nodiscard]] std::uint64_t qoutsize(

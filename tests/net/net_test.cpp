@@ -4,9 +4,13 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <pthread.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
+#include <csignal>
 #include <future>
 #include <thread>
 
@@ -59,6 +63,90 @@ TEST(Wire, FrameHeaderLayout) {
   Reader r(frame);
   EXPECT_EQ(r.u32(), 1u);
   EXPECT_EQ(r.u8(), static_cast<std::uint8_t>(FrameType::Result));
+}
+
+TEST(Wire, ScatterWrittenResultFrameEqualsPackFrame) {
+  Rng rng(0x5CA7);
+  // Empty, tiny, and large enough (1 MiB) that the socket buffer forces
+  // short writes mid-result.
+  for (const std::size_t size : {std::size_t{0}, std::size_t{1},
+                                 std::size_t{3}, std::size_t{192} << 10,
+                                 (std::size_t{1} << 20) + 7}) {
+    std::vector<std::byte> result(size);
+    for (auto& b : result) b = static_cast<std::byte>(rng.uniformInt(0, 255));
+    const std::uint64_t id = 0x1122334455667788ULL + size;
+    Writer w;
+    w.u64(id);
+    w.blob(result);
+    const std::vector<std::byte> expect = packFrame(FrameType::Result,
+                                                    w.bytes());
+
+    int fds[2] = {-1, -1};
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    std::jthread writer([&] {
+      EXPECT_TRUE(writeResultFrame(fds[0], id, result));
+      ::close(fds[0]);
+    });
+    std::vector<std::byte> got(expect.size());
+    ASSERT_TRUE(readAll(fds[1], got));
+    std::byte extra{};
+    EXPECT_EQ(::recv(fds[1], &extra, 1, 0), 0) << "bytes past the frame";
+    writer = {};
+    ::close(fds[1]);
+    EXPECT_EQ(got, expect) << "result of " << size << " bytes";
+  }
+}
+
+TEST(Wire, ScatterWriteResumesAfterSignalsAndShortWrites) {
+  // A signal that interrupts a blocked sendmsg makes it return a short
+  // count (or EINTR when nothing went out yet); the writer must resume
+  // exactly where the kernel stopped. No SA_RESTART, so every signal the
+  // reader sends while the writer blocks cuts a write short.
+  struct sigaction quiet {};
+  struct sigaction previous {};
+  quiet.sa_handler = [](int) {};
+  ASSERT_EQ(::sigaction(SIGUSR1, &quiet, &previous), 0);
+
+  Rng rng(0x51A1);
+  std::vector<std::byte> result((std::size_t{1} << 20) + 5);
+  for (auto& b : result) b = static_cast<std::byte>(rng.uniformInt(0, 255));
+  Writer w;
+  w.u64(9);
+  w.blob(result);
+  const std::vector<std::byte> expect = packFrame(FrameType::Result,
+                                                  w.bytes());
+
+  int fds[2] = {-1, -1};
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const int small = 4096;
+  ::setsockopt(fds[0], SOL_SOCKET, SO_SNDBUF, &small, sizeof small);
+  std::atomic<bool> sent{false};
+  std::thread writer([&] {
+    EXPECT_TRUE(writeResultFrame(fds[0], 9, result));
+    sent = true;
+  });
+  std::vector<std::byte> got(expect.size());
+  for (std::size_t off = 0; off < got.size();) {
+    const std::size_t n = std::min<std::size_t>(4096, got.size() - off);
+    ASSERT_TRUE(readAll(fds[1], std::span(got).subspan(off, n)));
+    off += n;
+    if (!sent) ::pthread_kill(writer.native_handle(), SIGUSR1);
+  }
+  writer.join();
+  ::close(fds[0]);
+  ::close(fds[1]);
+  ::sigaction(SIGUSR1, &previous, nullptr);
+  EXPECT_EQ(got, expect);
+}
+
+TEST(Wire, ScatterWriteToAClosedPeerFailsWithoutSignal) {
+  int fds[2] = {-1, -1};
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  ::close(fds[1]);
+  const std::vector<std::byte> result(64);
+  // MSG_NOSIGNAL: EPIPE comes back as false instead of raising SIGPIPE.
+  EXPECT_FALSE(writeResultFrame(fds[0], 1, result));
+  ::close(fds[0]);
 }
 
 TEST(Codecs, VmPredicateRoundTrip) {

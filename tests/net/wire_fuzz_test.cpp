@@ -5,15 +5,19 @@
 // double as overread detectors.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "net/codecs.hpp"
+#include "net/net_client.hpp"
 #include "net/wire.hpp"
 #include "vm/vm_predicate.hpp"
 #include "vol/vol_predicate.hpp"
@@ -210,6 +214,126 @@ TEST(WireFuzz, RandomFrameStreamsNeverCrashReadFrame) {
       if (frames > 200) FAIL() << "parser failed to terminate";
     }
   }
+}
+
+/// A loopback listener standing in for the query server: it accepts one
+/// NetClient and writes whatever bytes a test hands it.
+class FakeServer {
+ public:
+  FakeServer() : listener_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    EXPECT_GE(listener_, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    EXPECT_EQ(::bind(listener_, reinterpret_cast<sockaddr*>(&addr),
+                     sizeof addr),
+              0);
+    EXPECT_EQ(::listen(listener_, 1), 0);
+    socklen_t len = sizeof addr;
+    EXPECT_EQ(::getsockname(listener_, reinterpret_cast<sockaddr*>(&addr),
+                            &len),
+              0);
+    port_ = ntohs(addr.sin_port);
+  }
+  ~FakeServer() {
+    if (conn_ >= 0) ::close(conn_);
+    ::close(listener_);
+  }
+  [[nodiscard]] std::uint16_t port() const { return port_; }
+
+  /// Accept the client's connection, send `bytes`, and hang up.
+  void sendAndClose(std::span<const std::byte> bytes) {
+    conn_ = ::accept(listener_, nullptr, nullptr);
+    ASSERT_GE(conn_, 0);
+    ASSERT_TRUE(writeAll(conn_, bytes));
+    ::close(conn_);
+    conn_ = -1;
+  }
+
+ private:
+  int listener_;
+  int conn_ = -1;
+  std::uint16_t port_ = 0;
+};
+
+/// What NetClient::receiveAny reports for a server that sends `bytes` and
+/// hangs up: the runtime_error message, or "" if it returned normally.
+std::string clientErrorFor(std::span<const std::byte> bytes) {
+  const auto reg = CodecRegistry::standard();
+  FakeServer server;
+  NetClient client("127.0.0.1", server.port(), &reg,
+                   NetClientConfig{.ioTimeoutSec = 10.0});
+  server.sendAndClose(bytes);
+  try {
+    (void)client.receiveAny();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// A Result frame header: u32 len | u8 type | u64 requestId | u64 resultLen.
+std::vector<std::byte> resultHeader(std::uint32_t payloadLen,
+                                    std::uint64_t resultLen) {
+  Writer w;
+  w.u32(payloadLen);
+  w.u8(static_cast<std::uint8_t>(FrameType::Result));
+  w.u64(5);
+  w.u64(resultLen);
+  return w.take();
+}
+
+TEST(WireFuzz, ClientRejectsLyingResultFramesBeforeAllocating) {
+  // resultLen disagrees with the frame length. Had the client sized a
+  // buffer from resultLen, 2^62 would throw bad_alloc, not runtime_error.
+  for (const std::uint64_t resultLen : {std::uint64_t{1} << 62,
+                                        std::uint64_t{4}, std::uint64_t{9}}) {
+    std::vector<std::byte> frame = resultHeader(16 + 8, resultLen);
+    frame.resize(frame.size() + 8, std::byte{0x5A});
+    EXPECT_EQ(clientErrorFor(frame), "malformed result frame from query server")
+        << "resultLen " << resultLen;
+  }
+  // A frame too short to hold the requestId | resultLen prefix.
+  {
+    Writer w;
+    w.u32(8);
+    w.u8(static_cast<std::uint8_t>(FrameType::Result));
+    w.u64(5);
+    EXPECT_EQ(clientErrorFor(w.bytes()),
+              "malformed result frame from query server");
+  }
+  // Over the 1 GiB payload cap: refused on the 5-byte header alone.
+  EXPECT_EQ(clientErrorFor(resultHeader(kMaxPayload + 1, kMaxPayload - 15)),
+            "oversized frame from query server");
+}
+
+TEST(WireFuzz, ClientRejectsTruncatedResultBody) {
+  std::vector<std::byte> frame = resultHeader(16 + 1000, 1000);
+  frame.resize(frame.size() + 10, std::byte{0x5A});  // 10 of 1000 bytes
+  EXPECT_EQ(clientErrorFor(frame), "query server connection lost on receive");
+  // Cut inside the requestId | resultLen prefix.
+  const std::vector<std::byte> header = resultHeader(16 + 1000, 1000);
+  EXPECT_EQ(clientErrorFor(std::span(header).first(12)),
+            "query server connection lost on receive");
+}
+
+TEST(WireFuzz, ZeroLengthResultRoundTripsThroughTheClient) {
+  const auto reg = CodecRegistry::standard();
+  FakeServer server;
+  NetClient client("127.0.0.1", server.port(), &reg,
+                   NetClientConfig{.ioTimeoutSec = 10.0});
+  int fds[2] = {-1, -1};
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  ASSERT_TRUE(writeResultFrame(fds[0], 77, {}));
+  ::close(fds[0]);
+  std::vector<std::byte> frame(kFrameHeaderBytes + kResultPrefixBytes);
+  ASSERT_TRUE(readAll(fds[1], frame));
+  ::close(fds[1]);
+  server.sendAndClose(frame);
+  const NetClient::Outcome out = client.receiveAny();
+  EXPECT_EQ(out.status, NetClient::Outcome::Status::Result);
+  EXPECT_EQ(out.requestId, 77u);
+  EXPECT_TRUE(out.bytes.empty());
 }
 
 TEST(WireFuzz, HostileCoordinatesAreRejectedBeforeGeometry) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <utility>
+
+#include "common/rng.hpp"
 #include "pagespace/page_space_manager.hpp"
 #include "storage/synthetic_source.hpp"
 #include "vm/image.hpp"
@@ -208,6 +212,135 @@ TEST_F(VMExecutorTest, ProjectWithZeroOverlapThrows) {
   std::vector<std::byte> dummy(cached.outBytes());
   std::vector<std::byte> out(q.outBytes());
   EXPECT_THROW(exec_.project(cached, dummy, q, out), CheckFailure);
+}
+
+/// The per-pixel projection loop VMExecutor::project replaced, kept here
+/// only as the reference its row-wise kernels must match byte for byte.
+void projectReference(const VMSemantics& sem, const VMPredicate& c,
+                      std::span<const std::byte> cachedPayload,
+                      const VMPredicate& q, std::span<std::byte> outBuffer) {
+  const Rect covered = sem.coveredRegion(c, q);
+  const auto is = static_cast<std::int64_t>(c.zoom());
+  const auto os = static_cast<std::int64_t>(q.zoom());
+  const std::int64_t ratio = os / is;
+  const std::int64_t cw = c.outWidth();
+  const std::int64_t outW = q.outWidth();
+  const std::int64_t px0 = (covered.x0 - q.region().x0) / os;
+  const std::int64_t px1 = (covered.x1 - q.region().x0) / os;
+  const std::int64_t py0 = (covered.y0 - q.region().y0) / os;
+  const std::int64_t py1 = (covered.y1 - q.region().y0) / os;
+  const auto rsq = static_cast<std::uint32_t>(ratio * ratio);
+  const std::uint32_t half = rsq / 2;
+  for (std::int64_t py = py0; py < py1; ++py) {
+    const std::int64_t y = q.region().y0 + py * os;
+    const std::int64_t cy0 = (y - c.region().y0) / is;
+    for (std::int64_t px = px0; px < px1; ++px) {
+      const std::int64_t x = q.region().x0 + px * os;
+      const std::int64_t cx0 = (x - c.region().x0) / is;
+      std::byte* o = outBuffer.data() + (py * outW + px) * 3;
+      if (q.op() == VMOp::Subsample || ratio == 1) {
+        const std::byte* in = cachedPayload.data() + (cy0 * cw + cx0) * 3;
+        o[0] = in[0];
+        o[1] = in[1];
+        o[2] = in[2];
+      } else {
+        std::uint32_t s0 = 0, s1 = 0, s2 = 0;
+        for (std::int64_t dy = 0; dy < ratio; ++dy) {
+          const std::byte* row =
+              cachedPayload.data() + ((cy0 + dy) * cw + cx0) * 3;
+          for (std::int64_t dx = 0; dx < ratio; ++dx) {
+            s0 += static_cast<std::uint32_t>(row[dx * 3 + 0]);
+            s1 += static_cast<std::uint32_t>(row[dx * 3 + 1]);
+            s2 += static_cast<std::uint32_t>(row[dx * 3 + 2]);
+          }
+        }
+        o[0] = static_cast<std::byte>((s0 + half) / rsq);
+        o[1] = static_cast<std::byte>((s1 + half) / rsq);
+        o[2] = static_cast<std::byte>((s2 + half) / rsq);
+      }
+    }
+  }
+}
+
+enum class Overlap { CachedContainsQuery, QueryContainsCached, Partial };
+
+/// One axis of a cached region on the query's I_S-congruent grid, placed
+/// relative to the query's [lo, hi) as `shape` asks.
+std::pair<std::int64_t, std::int64_t> cachedSpan(Rng& rng, std::int64_t lo,
+                                                 std::int64_t hi,
+                                                 std::int64_t is,
+                                                 Overlap shape) {
+  const std::int64_t steps = (hi - lo) / is;
+  switch (shape) {
+    case Overlap::CachedContainsQuery:
+      return {lo - is * rng.uniformInt(0, 4), hi + is * rng.uniformInt(0, 4)};
+    case Overlap::QueryContainsCached: {
+      const std::int64_t a = lo + is * rng.uniformInt(0, steps - 1);
+      return {a, a + is * rng.uniformInt(1, (hi - a) / is)};
+    }
+    case Overlap::Partial:
+      if (steps >= 2 && rng.bernoulli(0.5)) {  // starts before, ends inside
+        return {lo - is * rng.uniformInt(1, 4),
+                hi - is * rng.uniformInt(1, steps - 1)};
+      }
+      return {lo + is * rng.uniformInt(1, steps),  // starts inside, ends after
+              hi + is * rng.uniformInt(1, 4)};
+  }
+  return {lo, hi};
+}
+
+TEST_F(VMExecutorTest, RowWiseProjectionMatchesPerPixelReference) {
+  Rng rng(0x9A0C);
+  int cases = 0;
+  for (const VMOp op : {VMOp::Subsample, VMOp::Average}) {
+    for (const std::int64_t ratio : {1, 2, 4, 8}) {
+      for (const Overlap shape :
+           {Overlap::CachedContainsQuery, Overlap::QueryContainsCached,
+            Overlap::Partial}) {
+        for (int rep = 0; rep < 16; ++rep) {
+          const std::int64_t is = std::int64_t{1} << rng.uniformInt(0, 2);
+          const std::int64_t os = is * ratio;
+          // At least 2x2 output pixels, so a partial overlap can cover one.
+          const VMPredicate q = make(
+              Rect::ofSize(rng.uniformInt(64, 127), rng.uniformInt(64, 127),
+                           os * rng.uniformInt(2, 8), os * rng.uniformInt(2, 8)),
+              static_cast<std::uint32_t>(os), op);
+          // Resample until the overlap covers at least one output pixel.
+          std::optional<VMPredicate> cached;
+          for (int attempt = 0; attempt < 200 && !cached; ++attempt) {
+            const auto [x0, x1] =
+                cachedSpan(rng, q.region().x0, q.region().x1, is, shape);
+            const auto [y0, y1] =
+                cachedSpan(rng, q.region().y0, q.region().y1, is, shape);
+            const VMPredicate c = make(Rect{x0, y0, x1, y1},
+                                       static_cast<std::uint32_t>(is), op);
+            if (!sem_.coveredRegion(c, q).empty()) cached = c;
+          }
+          ASSERT_TRUE(cached.has_value()) << q.describe();
+
+          std::vector<std::byte> payload(cached->outBytes());
+          for (auto& b : payload) {
+            b = static_cast<std::byte>(rng.uniformInt(0, 255));
+          }
+          // Every other case hands project a larger buffer than the query
+          // needs; the bytes past outBytes() must stay untouched.
+          const std::size_t slack =
+              rep % 2 == 0 ? 0 : static_cast<std::size_t>(rng.uniformInt(1, 64));
+          std::vector<std::byte> expect(q.outBytes() + slack);
+          for (auto& b : expect) {
+            b = static_cast<std::byte>(rng.uniformInt(0, 255));
+          }
+          std::vector<std::byte> got = expect;
+          projectReference(sem_, *cached, payload, q, expect);
+          exec_.project(*cached, payload, q, got);
+          ASSERT_EQ(got, expect) << "cached " << cached->describe()
+                                 << " -> query " << q.describe();
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 2 * 4 * 3 * 16);
 }
 
 TEST_F(VMExecutorTest, RegionOutsideExtentThrows) {

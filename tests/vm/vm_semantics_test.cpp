@@ -49,6 +49,19 @@ TEST_F(VMSemanticsTest, IdenticalPredicatesOverlapOne) {
   EXPECT_TRUE(sem_.cmp(p, p));
 }
 
+TEST_F(VMSemanticsTest, CmpHoldsOnlyForAResultUsableAsIs) {
+  const auto q = make(Rect::ofSize(256, 256, 512, 512), 4);
+  // A larger cached region at the same zoom covers q fully (overlap 1),
+  // but its bytes must be cropped: not a common subexpression.
+  const auto superset = make(Rect::ofSize(0, 0, 1024, 1024), 4);
+  EXPECT_DOUBLE_EQ(sem_.overlap(superset, q), 1.0);
+  EXPECT_FALSE(sem_.cmp(superset, q));
+  EXPECT_FALSE(sem_.cmp(make(q.region(), 2), q));
+  EXPECT_FALSE(sem_.cmp(make(q.region(), 4, VMOp::Average), q));
+  EXPECT_FALSE(sem_.cmp(make(q.region(), 4, VMOp::Subsample, ds1_), q));
+  EXPECT_TRUE(sem_.cmp(make(q.region(), 4), q));
+}
+
 TEST_F(VMSemanticsTest, Eq4HalfAreaSameZoom) {
   const auto cached = make(Rect::ofSize(0, 0, 512, 512), 4);
   const auto q = make(Rect::ofSize(256, 0, 512, 512), 4);
